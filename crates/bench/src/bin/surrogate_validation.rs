@@ -66,6 +66,7 @@ fn main() -> std::io::Result<()> {
             "verified",
             "fallbacks",
             "kernel_solves",
+            "kernel_hits",
             "max_err_c",
             "mean_err_c",
             "exact_choice",
@@ -91,6 +92,7 @@ fn main() -> std::io::Result<()> {
             o.verified.to_string(),
             o.fallbacks.to_string(),
             o.kernel_solves.to_string(),
+            o.kernel_hits.to_string(),
             fmt(o.max_err, 2),
             o.mean_err.map_or_else(|| "-".to_owned(), |e| fmt(e, 2)),
             o.exact_choice.clone(),
@@ -186,7 +188,11 @@ struct OrgResult {
     skips: usize,
     verified: usize,
     fallbacks: usize,
+    /// Exact solves of the kernel sets this run built.
     kernel_solves: usize,
+    /// Kernel lookups served from the process-wide cache instead (built
+    /// by the accuracy sweep or another benchmark's run).
+    kernel_hits: usize,
     max_err: f64,
     mean_err: Option<f64>,
     exact_choice: String,
@@ -243,6 +249,7 @@ fn organizer_case(b: Benchmark) -> OrgResult {
         verified: screened.stats.surrogate_verifications,
         fallbacks: screened.stats.surrogate_fallbacks,
         kernel_solves: scr_ev.surrogate().map_or(0, |s| s.kernel_solves()),
+        kernel_hits: scr_ev.surrogate().map_or(0, |s| s.kernel_cache_hits()),
         max_err: screened.stats.surrogate_max_abs_error_c,
         mean_err: screened.stats.surrogate_mean_abs_error_c(),
         exact_choice: describe(&exact),

@@ -25,7 +25,10 @@ use tac25d_obs as obs;
 use tac25d_power::benchmarks::Benchmark;
 use tac25d_power::dvfs::OperatingPoint;
 use tac25d_power::perf::{system_ips, Ips};
-use tac25d_surrogate::{Prediction, SurrogateConfig, SurrogateInput, ThermalSurrogate};
+use tac25d_surrogate::{
+    FamilyKernels, KernelSet, PackageFamily, Prediction, Served, SurrogateConfig, SurrogateInput,
+    ThermalSurrogate,
+};
 use tac25d_thermal::coupled::{solve_coupled, CoupledOptions};
 use tac25d_thermal::model::{PackageModel, ThermalError};
 
@@ -317,19 +320,6 @@ impl Drop for FlightGuard<'_> {
     }
 }
 
-/// Per-watt die temperature rise of the single-chip package under a
-/// uniform unit source over the chip footprint — the Green's-function
-/// kernel behind the baseline-walk screen ([`single_chip_baseline_screened`]).
-#[derive(Debug, Clone, Copy)]
-struct SingleChipUnit {
-    /// Peak die rise over ambient, °C per watt.
-    peak_rise: f64,
-    /// Chip-average die rise over ambient, °C per watt (drives the
-    /// leakage fixed point of the screen, mirroring the surrogate's
-    /// per-chiplet mean-temperature refinement).
-    mean_rise: f64,
-}
-
 /// The cache state shared by every handle of one evaluator family: the
 /// striped memo tables, the incremental-assembly bases, the surrogate and
 /// the simulation counter. The serve daemon holds exactly one of these per
@@ -339,9 +329,6 @@ struct SharedState {
     spec: SystemSpec,
     models: StripedCache<LayoutKey, Arc<PackageModel>>,
     evals: StripedCache<EvalKey, Arc<Evaluation>>,
-    /// Lazily-solved single-chip unit response (`None` = not yet built,
-    /// `Some(None)` = construction failed and the screen stays off).
-    single_unit: Mutex<Option<Option<SingleChipUnit>>>,
     /// One representative assembled model per (single-chip?, footprint
     /// edge) class, used as the patch base for incremental network
     /// assembly of sibling layouts ([`PackageModel::new_like`]). Because
@@ -395,7 +382,6 @@ impl Evaluator {
                 spec,
                 models: StripedCache::new(),
                 evals: StripedCache::new(),
-                single_unit: Mutex::new(None),
                 bases: Mutex::new(HashMap::new()),
                 inflight: Mutex::new(HashMap::new()),
                 thermal_sims: AtomicUsize::new(0),
@@ -423,6 +409,13 @@ impl Evaluator {
     /// residual corrector, and [`Evaluator::predict_peak`] becomes
     /// available for surrogate-screened searches
     /// (`Fidelity::Surrogate` in the optimizer).
+    ///
+    /// The corrector belongs to this evaluator alone, so a fresh one per
+    /// benchmark keeps decisions independent of thread schedule. Its
+    /// unit-response kernels do not: they live once per package family
+    /// per process ([`FamilyKernels`]), so fresh evaluators of one
+    /// specification reuse every kernel an earlier one built, and kernel
+    /// memory is bounded by the specification's interposer-edge lattice.
     pub fn with_surrogate(spec: SystemSpec, cfg: SurrogateConfig) -> Self {
         let surrogate = Arc::new(ThermalSurrogate::new(
             spec.chip.clone(),
@@ -436,7 +429,6 @@ impl Evaluator {
                 spec,
                 models: StripedCache::new(),
                 evals: StripedCache::new(),
-                single_unit: Mutex::new(None),
                 bases: Mutex::new(HashMap::new()),
                 inflight: Mutex::new(HashMap::new()),
                 thermal_sims: AtomicUsize::new(0),
@@ -548,31 +540,26 @@ impl Evaluator {
         surrogate.predict(&input, &|t| core_power.active_power(&profile, op, t))
     }
 
-    /// The single-chip unit response, solved lazily once per evaluator
-    /// family. Like the surrogate's kernel solves, this linear solve is
-    /// *not* counted as an exact coupled solve — it amortizes over every
-    /// screened point of every baseline walk.
-    fn single_chip_unit(&self) -> Option<SingleChipUnit> {
-        {
-            let cached = self.shared.single_unit.lock().expect("lock poisoned");
-            if let Some(u) = *cached {
-                return u;
-            }
-        }
-        let built = (|| {
-            let spec = &self.shared.spec;
-            let model = self.model_for(&ChipletLayout::SingleChip).ok()?;
-            let rect = ChipletLayout::SingleChip.chiplet_rects(&spec.chip, &spec.rules)[0];
-            let sol = model.unit_response(0).ok()?;
+    /// The single-chip unit response — the kernel behind the
+    /// baseline-walk screen ([`single_chip_baseline_screened`]): per-watt
+    /// peak and chip-average die rise under a uniform source over the
+    /// chip. It comes from the same process-wide cache as the surrogate's
+    /// kernels (family: chip, rules, 2D stack, thermal config), so it is
+    /// solved once per process. Like those kernel solves, it is *not*
+    /// counted as an exact coupled solve.
+    fn single_chip_unit(&self) -> Option<Arc<KernelSet>> {
+        let spec = &self.shared.spec;
+        let family = FamilyKernels::shared(&PackageFamily {
+            chip: spec.chip.clone(),
+            rules: spec.rules,
+            stack: spec.stack_2d.clone(),
+            thermal: spec.thermal.clone(),
+        });
+        let (unit, served) = family.get(spec.chip.edge(), 1);
+        if served == Served::Built && unit.is_some() {
             obs::counter!("evaluator.baseline_kernel_solves").inc();
-            let ambient = spec.thermal.ambient.value();
-            Some(SingleChipUnit {
-                peak_rise: sol.peak().value() - ambient,
-                mean_rise: sol.rect_avg(&rect).value() - ambient,
-            })
-        })();
-        *self.shared.single_unit.lock().expect("lock poisoned") = Some(built);
-        built
+        }
+        unit
     }
 
     /// Tier-1 estimate of the single-chip peak at one (benchmark, op, p):
@@ -610,11 +597,11 @@ impl Evaluator {
             if !w.is_finite() {
                 return None;
             }
-            peak = ambient + unit.peak_rise * w;
+            peak = ambient + unit.peak_rise() * w;
             if !peak.is_finite() {
                 return None;
             }
-            t_mean = (ambient + unit.mean_rise * w).clamp(ambient, 400.0);
+            t_mean = (ambient + unit.mean_rise() * w).clamp(ambient, 400.0);
         }
         Some(peak)
     }

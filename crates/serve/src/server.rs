@@ -199,6 +199,9 @@ pub fn start(config: ServerConfig, engine: Arc<EngineState>) -> std::io::Result<
     let stop = Arc::new(AtomicBool::new(false));
     let intake = Arc::new(Intake::new(config.queue_capacity));
     let telemetry = Arc::new(Telemetry::new(config.tracing));
+    // Sampled before any thread starts, so `/metrics/history` is never
+    // empty once the daemon is up.
+    telemetry.history.sample_registry();
     let mut threads = Vec::new();
 
     {
@@ -243,11 +246,9 @@ pub fn start(config: ServerConfig, engine: Arc<EngineState>) -> std::io::Result<
 }
 
 /// Samples the registry into the `/metrics/history` ring at the
-/// env-selected interval. One sample is taken immediately so the
-/// endpoint is never empty once the daemon is up.
+/// env-selected interval ([`start`] takes the first sample).
 fn history_loop(telemetry: &Telemetry, stop: &AtomicBool) {
     let interval = Duration::from_millis(telemetry.history.interval_ms());
-    telemetry.history.sample_registry();
     let mut last = Instant::now();
     while !stopping(stop) {
         std::thread::sleep(TICK.min(interval));

@@ -1,6 +1,7 @@
 //! Unit-power thermal response kernels, precomputed once per
 //! (interposer edge, chiplet count) and reused for every spacing the
-//! optimizer probes at that edge.
+//! optimizer probes at that edge. The single chip (r = 1) has one kernel,
+//! its uniform-power response, which screens the baseline walk.
 //!
 //! The trick that keeps the precomputation tiny: the reference uniform
 //! r×r layout at the candidate's interposer edge has the full dihedral
@@ -85,9 +86,9 @@ pub(crate) fn class_of(row: usize, col: usize, r: usize) -> (usize, OctantMap) {
 /// layout (row-major), chosen inside the canonical lower-left octant.
 fn representatives(r: usize) -> Vec<usize> {
     match r {
-        2 => vec![0],       // corner (0,0)
+        1 | 2 => vec![0],   // the whole chip / corner (0,0)
         4 => vec![0, 1, 5], // corner (0,0), edge (0,1), inner (1,1)
-        _ => unreachable!("kernels are built for r ∈ {{2, 4}}"),
+        _ => unreachable!("kernels are built for r ∈ {{1, 2, 4}}"),
     }
 }
 
@@ -98,6 +99,10 @@ pub(crate) struct ClassKernel {
     pub rise: Grid,
     /// Center of the representative chiplet, footprint coordinates.
     pub rep_center: (f64, f64),
+    /// Peak die rise over ambient, °C per watt.
+    pub peak_rise: f64,
+    /// Mean die rise over the representative chiplet, °C per watt.
+    pub mean_rise: f64,
 }
 
 /// All unit responses for one (interposer edge, chiplet count) pair.
@@ -113,6 +118,7 @@ pub struct KernelSet {
 impl KernelSet {
     /// Builds the kernel set for interposer edge `edge` and an r×r
     /// chiplet grid, or `None` when the chiplets cannot fit that edge.
+    /// `r = 1` is the single chip, whose only edge is the chip's own.
     ///
     /// # Errors
     ///
@@ -126,16 +132,23 @@ impl KernelSet {
         r: u16,
     ) -> Result<Option<KernelSet>, ThermalError> {
         assert!(
-            r == 2 || r == 4,
-            "kernels are built for r ∈ {{2, 4}}, got {r}"
+            matches!(r, 1 | 2 | 4),
+            "kernels are built for r ∈ {{1, 2, 4}}, got {r}"
         );
-        let wc = chip.edge().value() / f64::from(r);
-        let free = edge.value() - f64::from(r) * wc - 2.0 * rules.guard.value();
-        if free < -1e-9 {
-            return Ok(None);
-        }
-        let gap = free.max(0.0) / f64::from(r - 1);
-        let layout = ChipletLayout::Uniform { r, gap: Mm(gap) };
+        let layout = if r == 1 {
+            if (edge.value() - chip.edge().value()).abs() > 1e-9 {
+                return Ok(None);
+            }
+            ChipletLayout::SingleChip
+        } else {
+            let wc = chip.edge().value() / f64::from(r);
+            let free = edge.value() - f64::from(r) * wc - 2.0 * rules.guard.value();
+            if free < -1e-9 {
+                return Ok(None);
+            }
+            let gap = free.max(0.0) / f64::from(r - 1);
+            ChipletLayout::Uniform { r, gap: Mm(gap) }
+        };
         let model = PackageModel::new(chip, &layout, rules, stack, thermal.clone())?;
         let rects = layout.chiplet_rects(chip, rules);
         let ambient = thermal.ambient.value();
@@ -153,6 +166,8 @@ impl KernelSet {
             classes.push(ClassKernel {
                 rise,
                 rep_center: (c.x.value(), c.y.value()),
+                peak_rise: sol.peak().value() - ambient,
+                mean_rise: sol.rect_avg(&rects[rep]).value() - ambient,
             });
         }
         Ok(Some(KernelSet {
@@ -172,6 +187,17 @@ impl KernelSet {
     /// Ambient temperature the rise fields are relative to.
     pub fn ambient(&self) -> f64 {
         self.ambient
+    }
+
+    /// Peak die rise over ambient per watt on the first representative
+    /// (for `r = 1`, per watt spread uniformly over the whole chip).
+    pub fn peak_rise(&self) -> f64 {
+        self.classes[0].peak_rise
+    }
+
+    /// Mean die rise over the first representative per watt on it.
+    pub fn mean_rise(&self) -> f64 {
+        self.classes[0].mean_rise
     }
 }
 
@@ -290,5 +316,36 @@ mod tests {
         )
         .unwrap();
         assert!(none.is_none());
+    }
+
+    #[test]
+    fn single_chip_kernel_is_its_uniform_unit_response() {
+        let chip = ChipSpec::scc_256();
+        let rules = PackageRules::default();
+        let stack = StackSpec::baseline_2d();
+        let thermal = ThermalConfig {
+            grid: 12,
+            ..ThermalConfig::default()
+        };
+        let set = KernelSet::build(&chip, &rules, &stack, &thermal, chip.edge(), 1)
+            .unwrap()
+            .expect("the chip's own edge");
+        let model = PackageModel::new(
+            &chip,
+            &ChipletLayout::SingleChip,
+            &rules,
+            &stack,
+            thermal.clone(),
+        )
+        .unwrap();
+        let sol = model.unit_response(0).unwrap();
+        let rect = ChipletLayout::SingleChip.chiplet_rects(&chip, &rules)[0];
+        let ambient = thermal.ambient.value();
+        assert_eq!(set.solves(), 1);
+        assert_eq!(set.peak_rise(), sol.peak().value() - ambient);
+        assert_eq!(set.mean_rise(), sol.rect_avg(&rect).value() - ambient);
+        assert!(set.peak_rise() >= set.mean_rise() && set.mean_rise() > 0.0);
+        let other_edge = KernelSet::build(&chip, &rules, &stack, &thermal, Mm(20.0), 1).unwrap();
+        assert!(other_edge.is_none(), "a single chip has no other footprint");
     }
 }

@@ -8,7 +8,9 @@
 //! reference layout — one exact solve per symmetry class (1 for 2×2, 3
 //! for 4×4) — and any candidate spacing at that edge is then estimated in
 //! O(chiplets²) bilinear samples, plus a cheap per-chiplet
-//! temperature–leakage fixed point for the nonlinear part.
+//! temperature–leakage fixed point for the nonlinear part. Kernels depend
+//! on geometry alone, so every surrogate of one package family shares
+//! them process-wide ([`cache`]).
 //!
 //! **Tier 2 — online residual corrector.** The superposition is biased
 //! (translated boundary fields, uniform in-chiplet power). A per-benchmark
@@ -23,12 +25,14 @@
 //! `tac25d_core::optimizer::Fidelity` for the screening rule.
 
 pub mod analytic;
+pub mod cache;
 pub mod config;
 pub mod corrector;
 pub mod features;
 pub mod kernel;
 mod superpose;
 
+pub use cache::{FamilyKernels, PackageFamily, Served};
 pub use config::SurrogateConfig;
 pub use kernel::KernelSet;
 
@@ -81,21 +85,16 @@ pub struct Prediction {
     pub trusted: bool,
 }
 
-/// Kernel sets keyed by (half-mm interposer edge, chiplet count); `None`
-/// marks a (edge, n) pair whose kernel construction failed.
-type KernelCache = Mutex<HashMap<(i64, u16), Option<Arc<KernelSet>>>>;
-
 /// The shared, thread-safe surrogate. Cheap to use behind an [`Arc`]:
-/// kernel sets and correctors live behind interior mutexes.
+/// kernel sets live in the process-wide family cache, correctors behind
+/// an interior mutex of this instance (so each instance's decisions
+/// depend on its own training history alone).
 pub struct ThermalSurrogate {
     cfg: SurrogateConfig,
-    chip: ChipSpec,
-    rules: PackageRules,
-    stack: StackSpec,
-    thermal: ThermalConfig,
-    kernels: KernelCache,
+    kernels: Arc<FamilyKernels>,
     correctors: Mutex<HashMap<Benchmark, Corrector>>,
     kernel_solves: AtomicUsize,
+    kernel_cache_hits: AtomicUsize,
     predictions: AtomicUsize,
     observations: AtomicUsize,
 }
@@ -106,6 +105,7 @@ impl std::fmt::Debug for ThermalSurrogate {
             .field("predictions", &self.predictions())
             .field("observations", &self.observations())
             .field("kernel_solves", &self.kernel_solves())
+            .field("kernel_cache_hits", &self.kernel_cache_hits())
             .finish_non_exhaustive()
     }
 }
@@ -122,13 +122,15 @@ impl ThermalSurrogate {
     ) -> Self {
         ThermalSurrogate {
             cfg,
-            chip,
-            rules,
-            stack,
-            thermal,
-            kernels: Mutex::new(HashMap::new()),
+            kernels: FamilyKernels::shared(&PackageFamily {
+                chip,
+                rules,
+                stack,
+                thermal,
+            }),
             correctors: Mutex::new(HashMap::new()),
             kernel_solves: AtomicUsize::new(0),
+            kernel_cache_hits: AtomicUsize::new(0),
             predictions: AtomicUsize::new(0),
             observations: AtomicUsize::new(0),
         }
@@ -139,11 +141,19 @@ impl ThermalSurrogate {
         &self.cfg
     }
 
-    /// Exact solves spent precomputing kernels (reported separately from
-    /// the evaluator's per-candidate simulation count — kernels amortize
-    /// over every spacing probed at their edge).
+    /// Exact solves spent on the kernel sets this instance built
+    /// (reported separately from the evaluator's per-candidate simulation
+    /// count — kernels amortize over every spacing probed at their edge,
+    /// and over every surrogate of the package family in the process).
     pub fn kernel_solves(&self) -> usize {
         self.kernel_solves.load(Ordering::Relaxed)
+    }
+
+    /// Kernel lookups served from the process-wide cache, built earlier
+    /// or concurrently by another caller. Every lookup is either a hit
+    /// or a build, so hits plus builds do not depend on what ran before.
+    pub fn kernel_cache_hits(&self) -> usize {
+        self.kernel_cache_hits.load(Ordering::Relaxed)
     }
 
     /// Predictions served.
@@ -157,29 +167,17 @@ impl ThermalSurrogate {
     }
 
     fn kernels_for(&self, edge: Mm, r: u16) -> Option<Arc<KernelSet>> {
-        let key = ((edge.value() * 2.0).round() as i64, r);
-        if let Some(cached) = self.kernels.lock().expect("lock poisoned").get(&key) {
-            return cached.clone();
+        let (set, served) = self.kernels.get(edge, r);
+        match served {
+            Served::Built => {
+                let solves = set.as_ref().map_or(0, |s| s.solves());
+                self.kernel_solves.fetch_add(solves, Ordering::Relaxed);
+            }
+            Served::Hit => {
+                self.kernel_cache_hits.fetch_add(1, Ordering::Relaxed);
+            }
         }
-        // Built outside the lock: concurrent duplicate builds only waste
-        // work, and kernel solves are three orders cheaper than holding
-        // every other predictor on the mutex.
-        let _span = obs::span!("surrogate.kernel_build");
-        let built = KernelSet::build(&self.chip, &self.rules, &self.stack, &self.thermal, edge, r)
-            .ok()
-            .flatten()
-            .map(Arc::new);
-        if let Some(set) = &built {
-            self.kernel_solves
-                .fetch_add(set.solves(), Ordering::Relaxed);
-            obs::counter!("surrogate.kernel_solves").add(set.solves() as u64);
-        }
-        self.kernels
-            .lock()
-            .expect("lock poisoned")
-            .entry(key)
-            .or_insert_with(|| built.clone());
-        built
+        set
     }
 
     /// Tier-1 peak estimate: superposition with `refine_iters` rounds of
@@ -193,7 +191,8 @@ impl ThermalSurrogate {
         input: &SurrogateInput,
         power_of_core: &dyn Fn(Celsius) -> f64,
     ) -> Option<f64> {
-        let rects = input.layout.chiplet_rects(&self.chip, &self.rules);
+        let family = self.kernels.family();
+        let rects = input.layout.chiplet_rects(&family.chip, &family.rules);
         let n = rects.len();
         if input.active_per_chiplet.len() != n || input.noc_per_chiplet.len() != n {
             return None;
@@ -237,7 +236,8 @@ impl ThermalSurrogate {
         if input.layout.is_single_chip() || (r != 2 && r != 4) {
             return None;
         }
-        let edge = input.layout.footprint_edge(&self.chip, &self.rules);
+        let family = self.kernels.family();
+        let edge = input.layout.footprint_edge(&family.chip, &family.rules);
         let kernels = self.kernels_for(edge, r)?;
         let raw = self.raw_peak(&kernels, input, power_of_core)?;
         self.predictions.fetch_add(1, Ordering::Relaxed);
@@ -281,7 +281,8 @@ impl ThermalSurrogate {
         if input.layout.is_single_chip() || (r != 2 && r != 4) {
             return;
         }
-        let edge = input.layout.footprint_edge(&self.chip, &self.rules);
+        let family = self.kernels.family();
+        let edge = input.layout.footprint_edge(&family.chip, &family.rules);
         let Some(kernels) = self.kernels_for(edge, r) else {
             return;
         };
@@ -420,18 +421,129 @@ mod tests {
         assert!(s.predict(&inp, &|_t| 0.3).is_none());
     }
 
+    /// A surrogate of a package family no other test in this process
+    /// touches (the kernel cache is process-wide), told apart by `grid`.
+    fn isolated_surrogate(grid: usize) -> ThermalSurrogate {
+        ThermalSurrogate::new(
+            ChipSpec::scc_256(),
+            PackageRules::default(),
+            StackSpec::system_25d(),
+            ThermalConfig {
+                grid,
+                ..ThermalConfig::default()
+            },
+            SurrogateConfig::default(),
+        )
+    }
+
     #[test]
     fn kernel_sets_are_cached_per_edge() {
-        let s = surrogate();
+        let s = isolated_surrogate(15);
         let power = |_t: Celsius| 0.3;
         let _ = s.predict(&input(6.0), &power);
-        let solves = s.kernel_solves();
-        assert_eq!(solves, 1, "2x2 grid has one symmetry class");
+        assert_eq!(s.kernel_solves(), 1, "2x2 grid has one symmetry class");
+        assert_eq!(s.kernel_cache_hits(), 0);
         // Same edge: cache hit. (s3 fixes the edge for 4-chiplet layouts.)
         let _ = s.predict(&input(6.0), &power);
-        assert_eq!(s.kernel_solves(), solves);
+        assert_eq!((s.kernel_solves(), s.kernel_cache_hits()), (1, 1));
         // New edge: one more class solve.
         let _ = s.predict(&input(8.0), &power);
-        assert_eq!(s.kernel_solves(), solves + 1);
+        assert_eq!((s.kernel_solves(), s.kernel_cache_hits()), (2, 1));
+        // A fresh surrogate of the same family builds nothing: the same
+        // three lookups are all hits.
+        let fresh = isolated_surrogate(15);
+        for s3 in [6.0, 6.0, 8.0] {
+            let _ = fresh.predict(&input(s3), &power);
+        }
+        assert_eq!((fresh.kernel_solves(), fresh.kernel_cache_hits()), (0, 3));
+    }
+
+    #[test]
+    fn concurrent_fresh_surrogates_build_each_kernel_once() {
+        const THREADS: usize = 4;
+        let barrier = std::sync::Barrier::new(THREADS);
+        let got: Vec<(Arc<KernelSet>, usize)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let s = isolated_surrogate(13);
+                        barrier.wait();
+                        let set = s.kernels_for(Mm(30.0), 4).expect("30 mm fits 4x4");
+                        assert_eq!(s.kernel_solves() / 3 + s.kernel_cache_hits(), 1);
+                        (set, s.kernel_solves())
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(
+            got.iter().map(|g| g.1).sum::<usize>(),
+            3,
+            "one KernelSet::build (3 class solves) across all threads"
+        );
+        assert!(got.iter().all(|g| Arc::ptr_eq(&g.0, &got[0].0)));
+    }
+
+    #[test]
+    fn families_differing_in_grid_solver_or_stack_never_alias() {
+        use tac25d_thermal::model::SolverKind;
+        let base = PackageFamily {
+            chip: ChipSpec::scc_256(),
+            rules: PackageRules::default(),
+            stack: StackSpec::system_25d(),
+            thermal: ThermalConfig {
+                grid: 10,
+                solver: SolverKind::Ic0,
+                ..ThermalConfig::default()
+            },
+        };
+        let mut grid = base.clone();
+        grid.thermal.grid = 11;
+        let mut solver = base.clone();
+        solver.thermal.solver = SolverKind::Jacobi;
+        let mut stack = base.clone();
+        stack.stack = StackSpec::stacked_3d();
+        let families: Vec<_> = [&base, &grid, &solver, &stack]
+            .into_iter()
+            .map(FamilyKernels::shared)
+            .collect();
+        for (i, a) in families.iter().enumerate() {
+            for b in &families[i + 1..] {
+                assert!(
+                    !Arc::ptr_eq(a, b),
+                    "{:?} aliases {:?}",
+                    a.family(),
+                    b.family()
+                );
+            }
+        }
+        assert!(Arc::ptr_eq(
+            &families[0],
+            &FamilyKernels::shared(&base.clone())
+        ));
+        // The same (edge, r) is a separate build in every family.
+        let sets: Vec<_> = families
+            .iter()
+            .map(|f| {
+                let (set, served) = f.get(Mm(20.0), 2);
+                assert_eq!(served, Served::Built);
+                set.expect("20 mm fits 2x2")
+            })
+            .collect();
+        for (i, a) in sets.iter().enumerate() {
+            for b in &sets[i + 1..] {
+                assert!(!Arc::ptr_eq(a, b));
+            }
+        }
+        assert_eq!(families[0].get(Mm(20.0), 2).1, Served::Hit);
+    }
+
+    #[test]
+    fn an_edge_that_does_not_fit_is_cached_as_none() {
+        let s = isolated_surrogate(9);
+        // 10 mm cannot fit 4×4 chiplets of 4.5 mm plus guards.
+        assert!(s.kernels_for(Mm(10.0), 4).is_none());
+        assert!(s.kernels_for(Mm(10.0), 4).is_none());
+        assert_eq!((s.kernel_solves(), s.kernel_cache_hits()), (0, 1));
     }
 }

@@ -148,3 +148,46 @@ fn single_chip_layouts_are_never_predicted() {
         .predict_peak(&ChipletLayout::SingleChip, Benchmark::Hpccg, op, 256)
         .is_none());
 }
+
+#[test]
+fn cold_and_fully_cached_kernels_give_identical_searches() {
+    // Kernels live in one process-wide cache per package family; a grid
+    // no other test in this binary uses makes the first search build
+    // every kernel it touches and the second one build none.
+    let mut spec = spec();
+    spec.thermal.grid = 14;
+    let run = || {
+        let ev = Evaluator::with_surrogate(spec.clone(), SurrogateConfig::default());
+        let cfg = OptimizerConfig {
+            fidelity: Fidelity::surrogate_default(),
+            seeding: tac25d_core::optimizer::SeedMode::On,
+            ..OptimizerConfig::default()
+        };
+        let r = optimize(&ev, Benchmark::Cholesky, &cfg).expect("optimize");
+        let s = ev.surrogate().expect("surrogate-equipped evaluator");
+        (r, s.kernel_solves(), s.kernel_cache_hits())
+    };
+    let (cold, cold_solves, cold_hits) = run();
+    let (warm, warm_solves, warm_hits) = run();
+    assert!(cold_solves > 0, "the cold search builds its kernels");
+    assert_eq!(warm_solves, 0, "the second search finds them all cached");
+    assert!(warm_hits > cold_hits);
+
+    let winner = |r: &OptimizeResult| {
+        r.best.as_ref().map(|o| {
+            (
+                o.layout,
+                o.candidate.op.freq_mhz.to_bits(),
+                o.candidate.active_cores,
+                o.peak.value().to_bits(),
+            )
+        })
+    };
+    assert!(cold.best.is_some());
+    assert_eq!(winner(&cold), winner(&warm));
+    assert_eq!(cold.stats.thermal_sims, warm.stats.thermal_sims);
+    assert_eq!(
+        cold.stats.surrogate_predictions,
+        warm.stats.surrogate_predictions
+    );
+}
